@@ -25,9 +25,9 @@ from repro.spatial import emst
 
 
 def main() -> None:
-    n = 30_000
-    print(f"generating {n:,} particles (Soneira-Peebles + uniform field) ...")
-    particles = hacc_like(n, seed=7)
+    particles = hacc_like(30_000, seed=7)
+    n = particles.shape[0]
+    print(f"generated {n:,} particles (Soneira-Peebles + uniform field)")
 
     t0 = time.perf_counter()
     mst = emst(particles, mpts=1)

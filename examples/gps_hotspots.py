@@ -21,9 +21,9 @@ from repro.perf import mpoints_per_sec
 
 
 def main() -> None:
-    n = 40_000
-    print(f"simulating {n:,} vehicle GPS positions on 6 roads ...")
-    points = ngsim_like(n, seed=11)
+    points = ngsim_like(40_000, seed=11)
+    n = points.shape[0]
+    print(f"simulated {n:,} vehicle GPS positions on 6 roads")
 
     # --- end-to-end clustering -------------------------------------------
     result = hdbscan(points, mpts=4, min_cluster_size=100)

@@ -435,7 +435,10 @@ class Engine:
                         mst=mst,
                     )
                     res.phase_seconds["mst"] = t_mst
-                    sp.annotate(n_clusters=res.n_clusters, **{
+                    sp.annotate(n_clusters=res.n_clusters,
+                                n_rounds=mst.n_rounds,
+                                n_pair_visits=mst.n_pair_visits,
+                                n_probed=mst.n_probed, **{
                         f"{name}_s": round(seconds, 6)
                         for name, seconds in res.phase_seconds.items()
                     })

@@ -9,10 +9,13 @@ a hung batch.  ``Engine(executor="process")`` routes ``map`` /
 
 Supervision model
 -----------------
-One daemon supervisor thread owns all pool state.  Workers send
-heartbeats, results, and classified errors over a shared result queue
-(see :mod:`repro.engine.worker` for the wire protocol); the supervisor
-multiplexes that queue with a periodic scan:
+One daemon supervisor thread owns all pool state.  Each worker sends
+heartbeats, results, and classified errors over its own one-way result
+pipe (see :mod:`repro.engine.worker` for the wire protocol); the
+supervisor multiplexes those pipes with a periodic scan.  The parent
+closes its copy of each write end right after the fork, so a worker's
+exit -- even a SIGKILL half-way through a message -- reads as EOF on its
+pipe alone and cannot block any other worker's sends:
 
 * **Dead worker** -- ``Process.exitcode`` is set without a clean stop:
   counted as a crash (``CRASH_EXITCODE`` marks *injected* kills), the
@@ -53,11 +56,12 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
+import socket
 import threading
 import time
 import weakref
 from collections import deque
+from multiprocessing.connection import wait as _wait_readable
 from typing import Any
 
 from ..obs.metrics import REGISTRY as _REGISTRY
@@ -236,13 +240,14 @@ class ShardJob:
 class _Worker:
     """Supervisor-side record of one shard process."""
 
-    __slots__ = ("wid", "proc", "job_q", "ready", "stopping",
+    __slots__ = ("wid", "proc", "job_q", "conn", "ready", "stopping",
                  "spawned_at", "last_hb", "current")
 
-    def __init__(self, wid: int, proc, job_q, now: float) -> None:
+    def __init__(self, wid: int, proc, job_q, conn, now: float) -> None:
         self.wid = wid
         self.proc = proc
         self.job_q = job_q
+        self.conn = conn  # read end of the worker's result pipe
         self.ready = False
         self.stopping = False
         self.spawned_at = now
@@ -361,7 +366,9 @@ class ShardPool:
         self._cache_entries = cache_entries
 
         self._ctx = mp.get_context(start_method)
-        self._result_q = self._ctx.Queue()
+        # Self-pipe that wakes the supervisor when work is submitted.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_w.setblocking(False)
         self._tick = max(0.01, min(0.25, heartbeat_s / 2.0))
 
         self._cond = threading.Condition()
@@ -510,12 +517,17 @@ class ShardPool:
                 _reap(self._all_procs)
                 supervisor.join(timeout=5.0)
         _reap(self._all_procs)
-        for q in [self._result_q, *self._all_job_qs]:
+        for q in self._all_job_qs:
             try:
                 q.close()
                 q.cancel_join_thread()
             except Exception:
                 pass
+        for w in self._workers:
+            if w.conn is not None:
+                w.conn.close()
+        self._wake_r.close()
+        self._wake_w.close()
         self._finalizer.detach()
 
     # -- introspection -----------------------------------------------------
@@ -558,26 +570,30 @@ class ShardPool:
     def _kick(self) -> None:
         """Wake the supervisor immediately (new work / state change)."""
         try:
-            self._result_q.put_nowait(("kick",))
-        except Exception:
-            pass  # queue full or closed: the periodic tick covers it
+            self._wake_w.send(b"\0")
+        except OSError:
+            pass  # buffer full or closed: the periodic tick covers it
 
     def _supervise(self) -> None:
         while True:
-            try:
-                msg = self._result_q.get(timeout=self._tick)
-            except queue_mod.Empty:
-                msg = None
-            except (OSError, ValueError, EOFError):
-                msg = None
             with self._cond:
-                while True:
-                    if msg is not None and msg[0] != "kick":
-                        self._handle(msg)
+                conns = [w.conn for w in self._workers if w.conn is not None]
+            try:
+                ready = _wait_readable([self._wake_r, *conns], self._tick)
+            except (OSError, ValueError):
+                ready = []
+            with self._cond:
+                if self._wake_r in ready:
                     try:
-                        msg = self._result_q.get_nowait()
-                    except (queue_mod.Empty, OSError, ValueError, EOFError):
-                        break
+                        self._wake_r.recv(4096)
+                    except OSError:
+                        pass
+                # Drain every pipe, not only the ones ``ready`` named: the
+                # lock may have been contended long enough for heartbeats
+                # to pile up, and the scan below must see them.
+                for w in list(self._workers):
+                    if w.conn is not None:
+                        self._read(w)
                 now = time.monotonic()
                 self._scan(now)
                 self._dispatch(now)
@@ -592,6 +608,17 @@ class ShardPool:
                             w.stopping = True
                     if not self._workers:
                         return
+
+    def _read(self, w: _Worker) -> None:
+        """Handle every message waiting on ``w``'s result pipe.  EOF means
+        the worker exited (possibly mid-message): the pipe is closed and
+        the scan handles the death."""
+        try:
+            while w.conn.poll():
+                self._handle(w.conn.recv())
+        except (EOFError, OSError):
+            w.conn.close()
+            w.conn = None
 
     def _handle(self, msg: tuple) -> None:
         tag = msg[0]
@@ -673,6 +700,8 @@ class ShardPool:
         for w in list(self._workers):
             exitcode = w.proc.exitcode
             if exitcode is not None:
+                if w.conn is not None:
+                    self._read(w)  # what it sent before exiting still counts
                 self._remove(w)
                 if w.stopping and exitcode == 0:
                     continue
@@ -690,6 +719,9 @@ class ShardPool:
                 self._on_death(w, "hang", injected=False, now=now)
 
     def _remove(self, w: _Worker) -> None:
+        if w.conn is not None:
+            w.conn.close()
+            w.conn = None
         if w in self._workers:
             self._workers.remove(w)
         self._by_wid.pop(w.wid, None)
@@ -816,6 +848,7 @@ class ShardPool:
         wid = self._next_wid
         self._next_wid += 1
         job_q = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         config = WorkerConfig(
             backend=self._backend_name,
             heartbeat_s=self._heartbeat_s,
@@ -825,16 +858,19 @@ class ShardPool:
         )
         proc = self._ctx.Process(
             target=worker_main,
-            args=(wid, job_q, self._result_q, config),
+            args=(wid, job_q, writer, config),
             name=f"repro-shard-{wid}",
             daemon=True,
         )
         try:
             proc.start()
         except Exception:
+            reader.close()
             self._unhealthy = True
             return
-        worker = _Worker(wid, proc, job_q, now)
+        finally:
+            writer.close()  # the worker now holds the only write end
+        worker = _Worker(wid, proc, job_q, reader, now)
         self._workers.append(worker)
         self._by_wid[wid] = worker
         self._all_procs.append(proc)

@@ -26,7 +26,9 @@ Protocol
 The worker receives ``("job", job_id, kind, payload, deadline_s, trace)``
 / ``("stop",)`` tuples on its private job queue (``trace`` is the
 caller's ``(trace_id, parent_span_id)`` pair, or ``None``) and emits on
-the shared result queue:
+its private result pipe (a one-way ``Connection`` whose only write end
+this worker holds, so dying mid-message can tear no other worker's
+channel):
 
 * ``("ready", worker_id, pid)`` -- bootstrap (including optional backend
   warmup and any injected slow start) finished; dispatch may begin.
@@ -42,8 +44,8 @@ the shared result queue:
   and ``enc`` an exception encoding that survives unpicklable errors.
 
 Values and errors are pre-pickled *in the worker* so a value that cannot
-be pickled surfaces as a classified per-job error instead of dying inside
-the queue's feeder thread (which would look like a lost worker).
+be pickled surfaces as a classified per-job error instead of failing
+half-way through a send (which would look like a lost worker).
 
 Injected faults (the ``worker`` seam) act on reception, before execution:
 a crash is ``os._exit(CRASH_EXITCODE)`` -- the distinctive exit code lets
@@ -171,7 +173,7 @@ JOB_KINDS = {
 
 
 def _encode_error(exc: BaseException) -> tuple:
-    """Encode ``exc`` for the result queue, surviving unpicklable errors."""
+    """Encode ``exc`` for the result pipe, surviving unpicklable errors."""
     try:
         blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
         pickle.loads(blob)  # some exceptions pickle but refuse to unpickle
@@ -180,7 +182,8 @@ def _encode_error(exc: BaseException) -> tuple:
         return ("repr", (type(exc).__name__, str(exc)))
 
 
-def worker_main(worker_id: int, job_q, result_q, config: WorkerConfig) -> None:
+def worker_main(worker_id: int, job_q, result_conn,
+                config: WorkerConfig) -> None:
     """Entry point of one shard-worker process (see the module docstring)."""
     reset_inherited_context(config.backend)
     faults = config.faults
@@ -198,17 +201,22 @@ def worker_main(worker_id: int, job_q, result_q, config: WorkerConfig) -> None:
         backend.warmup()
 
     stop_heartbeat = threading.Event()
+    send_lock = threading.Lock()  # the heartbeat thread sends too
+
+    def send(message: tuple) -> None:
+        with send_lock:
+            result_conn.send(message)
 
     def _beat() -> None:
         seq = 0
         while not stop_heartbeat.wait(config.heartbeat_s):
             seq += 1
             try:
-                result_q.put((MSG_HB, worker_id, seq))
-            except Exception:  # queue torn down: parent is gone
+                send((MSG_HB, worker_id, seq))
+            except Exception:  # pipe torn down: parent is gone
                 return
 
-    result_q.put((MSG_READY, worker_id, os.getpid()))
+    send((MSG_READY, worker_id, os.getpid()))
     heartbeat = threading.Thread(
         target=_beat, name=f"shard-{worker_id}-hb", daemon=True
     )
@@ -245,15 +253,15 @@ def worker_main(worker_id: int, job_q, result_q, config: WorkerConfig) -> None:
                     protocol=pickle.HIGHEST_PROTOCOL,
                 )
             except TimeoutError as exc:
-                result_q.put(
+                send(
                     (MSG_ERR, worker_id, job_id, "timeout", _encode_error(exc))
                 )
             except BaseException as exc:  # noqa: BLE001 - full job isolation
-                result_q.put(
+                send(
                     (MSG_ERR, worker_id, job_id, classify(exc),
                      _encode_error(exc))
                 )
             else:
-                result_q.put((MSG_DONE, worker_id, job_id, blob))
+                send((MSG_DONE, worker_id, job_id, blob))
     finally:
         stop_heartbeat.set()

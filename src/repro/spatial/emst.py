@@ -14,6 +14,13 @@ Round structure:
    nearest neighbor outside its component; this initializes per-component
    candidate upper bounds (in early rounds the kNN list almost always
    contains the true answer, so the tree traversal only verifies).
+   **Probe** -- a component whose kNN lists hold no foreign point (a
+   well-separated cluster, the normal case on GPS roads) would keep an
+   infinite bound, which prunes nothing.  In rounds where one exists,
+   :func:`_probe` takes every label boundary of the tree order -- a real
+   pair of neighbouring points in different components -- as a candidate
+   for its infinite-bound sides, so every component enters the traversal
+   with a finite bound.  Rounds without one skip the probe.
 2. **Aggregate** -- per tree node, bottom-up
    (:func:`~repro.parallel.primitives.spatial_node_reduce`): the single
    component id beneath it (or -1 if mixed) and a pruning bound (max over
@@ -40,7 +47,15 @@ Round structure:
 Exactness: pruning only discards pairs provably unable to improve any
 component's candidate (frozen bounds only ever over-estimate), and candidate
 resolution takes the global minimum per component, so each round adds
-exactly the Boruvka edges of the full metric graph.  Tests verify against
+exactly the Boruvka edges of the full metric graph.  Seed and probe pairs
+are real foreign pairs that also enter the candidate pool, so the bounds
+they set are legal upper bounds; probe distances accumulate in the same
+coordinate order as the leaf kernels, so a pair weighs the same whichever
+step finds it.  Pruning and the leaf kernels keep only *strict*
+improvements on a bound, so an exact-weight tie goes to the equal pair the
+seed, the probe or an earlier traversal level found first: deterministic
+and identical on every backend, but not necessarily the ``(w², lo, hi)``
+minimum.  The total weight is the same either way.  Tests verify against
 dense-matrix MSTs.
 """
 
@@ -135,6 +150,7 @@ class EMSTResult:
     core: np.ndarray         # core distances used (zeros for mpts == 1)
     n_rounds: int
     n_pair_visits: int       # node pairs examined across all rounds
+    n_probed: int = 0        # component-rounds whose seed bound was infinite
 
     @property
     def n_edges(self) -> int:
@@ -253,6 +269,7 @@ def emst(
     mst_w2: list[np.ndarray] = []
     n_rounds = 0
     n_pair_visits = 0
+    n_probed = 0
     n_comp = n
 
     while n_comp > 1:
@@ -271,6 +288,12 @@ def emst(
             np.minimum.at(best_d2, comp, seed_d2[:n][ok])
 
         labels_perm = labels[tree.indices]
+        unbounded = np.isinf(best_d2[labels_perm])
+        if unbounded.any():
+            n_probed += int(np.unique(labels_perm[unbounded]).size)
+            _probe(tree, labels_perm, unbounded, core2_perm, mutual,
+                   best_d2, cand)
+
         node_lo = spatial_node_reduce(tree, labels_perm, "min")
         node_hi = spatial_node_reduce(tree, labels_perm, "max")
         node_comp = np.where(node_lo == node_hi, node_lo, -1).astype(np.int64)
@@ -307,7 +330,7 @@ def emst(
     u = np.concatenate(mst_u).astype(np.int64)
     v = np.concatenate(mst_v).astype(np.int64)
     w = np.sqrt(np.concatenate(mst_w2))
-    return EMSTResult(u, v, w, core, n_rounds, n_pair_visits)
+    return EMSTResult(u, v, w, core, n_rounds, n_pair_visits, n_probed)
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +354,51 @@ class _Candidates:
         self.d2s.append(np.asarray(d2, dtype=np.float64))
         self.ps.append(np.asarray(p, dtype=np.int64))
         self.qs.append(np.asarray(q, dtype=np.int64))
+
+
+def _probe(
+    tree: KDTree,
+    labels_perm: np.ndarray,
+    unbounded: np.ndarray,
+    core2_perm: np.ndarray,
+    mutual: bool,
+    best_d2: np.ndarray,
+    cand: _Candidates,
+) -> None:
+    """Finite-bound probe: give every infinite-bound component a real pair.
+
+    ``unbounded`` flags the tree positions whose component has an infinite
+    bound.  Every position ``i`` where the tree-order labels change is a
+    foreign pair ``(indices[i], indices[i + 1])`` -- usually a spatially
+    close one, since tree order is a spatial order.  Each such pair with
+    an unbounded side becomes a candidate for that side and tightens its
+    bound.  Every component owns at least one label boundary once two
+    components exist, so none enters the traversal unbounded.  Squared
+    distances accumulate in coordinate order, as ``cdist`` and the fused
+    leaf kernels do, so a pair's weight is bit-identical whichever step
+    finds it.
+    """
+    emit("emst.probe", "map", int(labels_perm.size) - 1)
+    i = np.nonzero(
+        (labels_perm[:-1] != labels_perm[1:])
+        & (unbounded[:-1] | unbounded[1:])
+    )[0]
+    j = i + 1
+    diff = tree.points_perm[i] - tree.points_perm[j]
+    d2 = diff[:, 0] * diff[:, 0]
+    for k in range(1, diff.shape[1]):
+        d2 += diff[:, k] * diff[:, k]
+    if mutual:
+        np.maximum(d2, core2_perm[i], out=d2)
+        np.maximum(d2, core2_perm[j], out=d2)
+    sa = unbounded[i]
+    sb = unbounded[j]
+    comp = np.concatenate([labels_perm[i][sa], labels_perm[j][sb]])
+    d2 = np.concatenate([d2[sa], d2[sb]])
+    p = tree.indices
+    cand.add(comp, d2, np.concatenate([p[i][sa], p[j][sb]]),
+             np.concatenate([p[j][sa], p[i][sb]]))
+    scatter_min_at(best_d2, comp, d2, name=None)
 
 
 def _traverse(

@@ -2,27 +2,64 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
-from repro.spatial import dist_block, emst, pairwise_mutual_reachability
+from repro.data import ngsim_like, uniform
+from repro.parallel.machine import CostModel, tracking
+from repro.spatial import emst
 from repro.spatial.emst import core_distances
 from repro.structures.tree import is_tree
 
 
 def dense_mst_weight(pts, mpts):
+    """MST weight by dense Prim over all n^2 pairs, one row per step.
+
+    Row-at-a-time keeps memory O(n), so the reference also covers the
+    5k-point clustered clouds; duplicate points (zero weights) need no
+    special handling.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
     n = len(pts)
-    if mpts == 1:
-        dense = dist_block(pts, pts)
-    else:
-        core, _, _ = core_distances(pts, mpts)
-        dense = pairwise_mutual_reachability(pts, core)
-    # scipy's sparse MST treats 0 entries as missing edges; shift all
-    # off-diagonal weights by 1 so duplicate points stay connected, then
-    # remove the shift from the total.
-    shifted = np.triu(dense + 1.0, k=1)
-    return scipy_mst(shifted).sum() - (n - 1)
+    core2 = core_distances(pts, mpts)[0] ** 2 if mpts > 1 else np.zeros(n)
+    key = np.full(n, np.inf)
+    done = np.zeros(n, dtype=bool)
+    picked = np.empty(n - 1)
+    cur = 0
+    for step in range(n - 1):
+        done[cur] = True
+        d2 = ((pts - pts[cur]) ** 2).sum(axis=1)
+        np.maximum(d2, core2, out=d2)
+        np.maximum(d2, core2[cur], out=d2)
+        np.minimum(key, d2, out=key)
+        key[done] = np.inf
+        cur = int(np.argmin(key))
+        picked[step] = key[cur]
+    return math.fsum(np.sqrt(picked))
+
+
+def traced_emst(pts, mpts, **kw):
+    """``emst`` plus its summed ``emst.leaf_pairs`` kernel work."""
+    model = CostModel()
+    with tracking(model):
+        r = emst(pts, mpts=mpts, **kw)
+    work = sum(rec.work for rec in model.records if rec.name == "emst.leaf_pairs")
+    return r, work
+
+
+def separated_blobs(duplicated: bool) -> np.ndarray:
+    """20 tight 100-point blobs on a 1000-spaced grid: no kNN list ever
+    holds a foreign blob's point.  ``duplicated`` collapses every blob to
+    one repeated point."""
+    rng = np.random.default_rng(5)
+    gx, gy = np.meshgrid(np.arange(5.0), np.arange(4.0))
+    centers = np.stack([gx.ravel(), gy.ravel()], axis=1) * 1000.0
+    pts = np.repeat(centers, 100, axis=0)
+    if not duplicated:
+        pts = pts + rng.normal(size=pts.shape)
+    return pts[rng.permutation(len(pts))]
 
 
 class TestEuclideanEMST:
@@ -63,6 +100,7 @@ class TestEuclideanEMST:
     def test_single_point(self):
         r = emst(np.zeros((1, 3)))
         assert r.n_edges == 0
+        assert r.n_probed == 0  # positional constructor, field default
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -134,3 +172,45 @@ class TestEMSTScalesAndSeeds:
         # edge weight >= its (mutual-reachability) 1-NN distance
         core, knn_d, _ = core_distances(pts, 2)
         assert r.w.min() >= np.maximum(knn_d[:, 1], core).min() - 1e-12
+
+
+class TestFiniteBoundProbe:
+    """Deterministic work-count gates for clustered data.
+
+    Components whose kNN lists hold no foreign point start a round with
+    an infinite bound; the probe must give them a real one, or the
+    traversal degenerates towards all-pairs.  Kernel work counts are
+    exact, so these bounds cannot flake.
+    """
+
+    def test_gps_work_within_uniform(self):
+        gps = ngsim_like(5000, seed=0)
+        r_gps, w_gps = traced_emst(gps, 4)
+        _, w_uni = traced_emst(uniform(5000, 2, seed=1), 4)
+        assert r_gps.n_probed > 0
+        # 0.65x with the probe; 4.5x when unbounded components go unprobed
+        assert w_gps <= 1.5 * w_uni
+        assert np.isclose(r_gps.w.sum(), dense_mst_weight(gps, 4), rtol=1e-9)
+
+    @pytest.mark.parametrize("mpts", [1, 4])
+    @pytest.mark.parametrize("duplicated", [False, True],
+                             ids=["tight", "duplicated"])
+    def test_separated_blobs(self, mpts, duplicated):
+        pts = separated_blobs(duplicated)
+        n, leaf_size = len(pts), 96
+        r, work = traced_emst(pts, mpts, leaf_size=leaf_size)
+        assert is_tree(n, r.u, r.v)
+        assert np.isclose(r.w.sum(), dense_mst_weight(pts, mpts), rtol=1e-9)
+        assert r.n_probed > 0
+        # A round costs about 2 n * leaf_size here (each leaf against
+        # itself and its blob neighbours) and there are at most 6 rounds;
+        # unprobed components push this past 18.
+        assert work <= 15 * n * leaf_size
+
+    def test_uniform_skips_probe(self):
+        pts = uniform(3000, 2, seed=2)
+        model = CostModel()
+        with tracking(model):
+            r = emst(pts, mpts=4)
+        assert r.n_probed == 0
+        assert all(rec.name != "emst.probe" for rec in model.records)

@@ -34,23 +34,26 @@ class TestExamples:
         assert "MI250X" in out
         assert "extrapolated" in out
 
+    # The examples look their generators up on ``repro.data`` at run time,
+    # so that is the name to patch; the printed count proves the trim.
     def test_cosmology_fof(self, capsys, monkeypatch):
-        # shrink the particle count for CI-speed
-        import repro.data.cosmology as cosmo
+        import repro.data
 
-        original = cosmo.hacc_like
+        original = repro.data.hacc_like
         monkeypatch.setattr(
-            cosmo, "hacc_like", lambda n, **kw: original(min(n, 5000), **kw)
+            repro.data, "hacc_like", lambda n, **kw: original(min(n, 5000), **kw)
         )
         out = run_example("cosmology_fof.py", capsys)
+        assert "generated 5,000 particles" in out
         assert "halo mass function" in out
 
     def test_gps_hotspots(self, capsys, monkeypatch):
-        import repro.data.trajectories as traj
+        import repro.data
 
-        original = traj.ngsim_like
+        original = repro.data.ngsim_like
         monkeypatch.setattr(
-            traj, "ngsim_like", lambda n, **kw: original(min(n, 5000), **kw)
+            repro.data, "ngsim_like", lambda n, **kw: original(min(n, 5000), **kw)
         )
         out = run_example("gps_hotspots.py", capsys)
+        assert "simulated 5,000 vehicle GPS positions" in out
         assert "identical dendrograms verified" in out

@@ -506,6 +506,37 @@ class TestBitIdentity:
         for a, b in zip(on, off):
             assert np.array_equal(a.value.parent, b.value.parent)
 
+    def test_hdbscan_span_emst_fields_and_obs_on_off(self):
+        """The ``hdbscan`` span carries the EMST diagnostics (the probe
+        count makes the clustered-data cliff visible without a profiler);
+        recording them changes neither parents nor the kernel trace."""
+        from repro.data import ngsim_like
+        from repro.parallel.machine import CostModel, tracking
+
+        pts = ngsim_like(500, seed=0)
+
+        def run():
+            model = CostModel()
+            with tracking(model):
+                res = Engine().hdbscan(pts, mpts=4)
+            return res, [(r.name, r.category, r.work, r.phase)
+                         for r in model.records]
+
+        clear_spans()
+        on, trace_on = run()
+        (batch,) = [s for s in recent_spans() if s.name == "hdbscan_batch"]
+        (sp,) = [c for c in batch.children if c.name == "hdbscan"]
+        assert on.mst.n_probed > 0
+        for field in ("n_rounds", "n_pair_visits", "n_probed"):
+            assert sp.labels[field] == str(getattr(on.mst, field)), field
+        set_enabled(False)
+        try:
+            off, trace_off = run()
+        finally:
+            set_enabled(True)
+        assert np.array_equal(on.dendrogram.parent, off.dendrogram.parent)
+        assert trace_on == trace_off
+
 
 # ---------------------------------------------------------------------------
 # CLI surface

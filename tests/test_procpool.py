@@ -9,6 +9,8 @@ leaks a worker process -- graceful shutdown is part of the contract.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import signal
 import time
 
 import numpy as np
@@ -59,6 +61,12 @@ def _echo(x):
 def _sleepy(seconds):
     time.sleep(seconds)
     return seconds
+
+
+def _sleep_then_bytes(args):
+    seconds, n_bytes = args
+    time.sleep(seconds)
+    return b"x" * n_bytes
 
 
 def _crash_seed(p_crash: float) -> int:
@@ -260,6 +268,43 @@ class TestSupervision:
         finally:
             pool.shutdown()
         assert pool.stats()["hangs"] == 2
+
+    def test_worker_killed_mid_send_wedges_nobody(self):
+        # A real SIGKILL half-way through a result message.  Holding the
+        # pool lock keeps the supervisor from reading, so the worker's
+        # 4 MiB result fills its pipe and blocks mid-message; heartbeats
+        # are slowed so the first bytes on the pipe are that result.  The
+        # torn message must stay on the dead worker's own pipe: the job is
+        # re-dispatched and the surviving worker keeps serving.
+        n_bytes = 4 << 20
+        pool = ShardPool(2, backend="numpy", poison_threshold=5,
+                         respawn_budget=2, heartbeat_s=30.0,
+                         boot_timeout_s=60.0)
+        try:
+            job = pool.submit("call", (_sleep_then_bytes, (0.5, n_bytes)))
+            deadline = time.monotonic() + 60.0
+            while job.worker is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            with pool._cond:
+                victim = pool._by_wid[job.worker]
+                assert job.status is None
+                assert victim.conn.poll(10.0)  # the result send has begun
+                os.kill(victim.proc.pid, signal.SIGKILL)
+                victim.proc.join(10.0)
+                assert victim.proc.exitcode == -signal.SIGKILL
+            others = [pool.submit("call", (_echo, i)) for i in range(4)]
+            assert [pool.result(j, timeout=60.0).value
+                    for j in others] == list(range(4))
+            job = pool.result(job, timeout=60.0)
+            assert job.ok and job.value == b"x" * n_bytes
+            assert job.attempts == 2
+        finally:
+            pool.shutdown()
+        stats = pool.stats()
+        assert stats["crashes"] == 1
+        assert stats["injected_kills"] == 0
+        assert stats["respawns"] == 1
 
     def test_budget_exhaustion_marks_unhealthy_and_loses_jobs(self):
         wf = WorkerFaults(p_crash=1.0, seed=0)

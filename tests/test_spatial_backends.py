@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from backend_fixtures import backend_params, dtype_regime, dtype_regime_params
+from repro import pandora
+from repro.data import ngsim_like
 from repro.hdbscan import hdbscan
 from repro.parallel import use_backend
 from repro.parallel.machine import CostModel, tracking
@@ -60,20 +62,34 @@ class TestSpatialParity:
 
     @pytest.mark.parametrize("mpts", [1, 4])
     def test_knn_artifact_and_emst_identical(self, backend, regime, mpts, rng):
-        pts = _cloud(rng)
-        with dtype_regime(regime), use_backend("numpy"):
-            ref_art, ref_mst, ref_trace = _run_spatial(pts, mpts)
-        with dtype_regime(regime), use_backend(backend):
-            art, mst, trace = _run_spatial(pts, mpts)
-        assert art.ids.dtype == ref_art.ids.dtype
-        assert np.array_equal(art.dists, ref_art.dists)
-        assert np.array_equal(art.ids, ref_art.ids)
-        for field in ("u", "v", "w", "core"):
-            assert np.array_equal(getattr(mst, field),
-                                  getattr(ref_mst, field)), field
-        assert mst.n_rounds == ref_mst.n_rounds
-        assert mst.n_pair_visits == ref_mst.n_pair_visits
-        assert trace == ref_trace
+        """Two inputs: the adversarial mixed cloud, and a GPS road cloud
+        whose well-separated components leave the kNN seed without a
+        foreign point, so the finite-bound probe runs.  kNN arrays, EMST
+        edges, dendrogram parents and kernel traces match the reference
+        record for record."""
+        for pts, probes in ((_cloud(rng), False),
+                            (ngsim_like(500, seed=0), True)):
+            with dtype_regime(regime), use_backend("numpy"):
+                ref_art, ref_mst, ref_trace = _run_spatial(pts, mpts)
+                ref_dend, _ = pandora(ref_mst.u, ref_mst.v, ref_mst.w,
+                                      len(pts))
+            if probes:
+                assert ref_mst.n_probed > 0
+                assert any(r[0] == "emst.probe" for r in ref_trace)
+            with dtype_regime(regime), use_backend(backend):
+                art, mst, trace = _run_spatial(pts, mpts)
+                dend, _ = pandora(mst.u, mst.v, mst.w, len(pts))
+            assert art.ids.dtype == ref_art.ids.dtype
+            assert np.array_equal(art.dists, ref_art.dists)
+            assert np.array_equal(art.ids, ref_art.ids)
+            for field in ("u", "v", "w", "core"):
+                assert np.array_equal(getattr(mst, field),
+                                      getattr(ref_mst, field)), field
+            assert mst.n_rounds == ref_mst.n_rounds
+            assert mst.n_pair_visits == ref_mst.n_pair_visits
+            assert mst.n_probed == ref_mst.n_probed
+            assert trace == ref_trace
+            assert np.array_equal(dend.parent, ref_dend.parent)
 
     def test_hdbscan_parents_and_weight_identical(self, backend, regime, rng):
         """The PR acceptance bar: identical dendrogram parents and MST
