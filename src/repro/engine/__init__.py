@@ -10,14 +10,14 @@ Five pieces (see the sibling modules for the full contracts):
   :class:`ArtifactCache`.
 * :mod:`repro.engine.engine` -- the :class:`Engine` facade: cached fits,
   batched multi-``mpts`` HDBSCAN*, multi-cut dendrogram queries, and a
-  context-snapshotting thread-pool serving path.
+  serving path with a thread and a process executor.
 * :mod:`repro.engine.faults` -- deterministic fault injection and
   cooperative deadlines at named execution seams (importing it arms the
   hooks; never importing it keeps the seams at one ``None`` check).
-* :mod:`repro.engine.resilience` -- the :class:`ServePolicy` serving
-  layer: classified errors, bounded retries with backoff, deadlines,
-  circuit breakers, and graceful backend degradation, returning per-job
-  :class:`JobResult` envelopes.
+* :mod:`repro.engine.resilience` -- the one job lifecycle both
+  executors run: classified errors, bounded retries with backoff,
+  deadlines, circuit breakers, and graceful backend degradation under a
+  :class:`ServePolicy`, returning per-job :class:`JobResult` envelopes.
 * :mod:`repro.engine.procpool` / :mod:`repro.engine.worker` -- the
   process fault domain: a supervised :class:`ShardPool` of worker
   processes behind ``Engine(executor="process")``, with heartbeats,

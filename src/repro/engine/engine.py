@@ -27,7 +27,10 @@ pipeline:
   :attr:`~repro.parallel.backend.Backend.releases_gil` capability: a
   GIL-releasing backend (``numba-parallel``) gets one worker per core --
   kernels genuinely overlap -- while a GIL-holding backend gets a small
-  pool that can only overlap NumPy-internal unlocked stretches.
+  pool that can only overlap NumPy-internal unlocked stretches.  On the
+  process executor each such job ships its work to a shard and waits for
+  it, so retries, fallback, deadlines and health are the same for both
+  executors (:func:`~repro.engine.resilience.run_batch`).
 
 Everything the engine returns obeys the library-wide determinism contract:
 a handle's parent array is bit-identical to a direct ``pandora()`` call on
@@ -36,13 +39,10 @@ the same input, whichever backend or index-dtype regime is active.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -52,11 +52,9 @@ import numpy as np
 from ..core.pandora import PandoraStats, pandora
 from ..hdbscan.pipeline import HDBSCANResult, hdbscan
 from ..obs.metrics import REGISTRY as _REGISTRY
-from ..obs.metrics import enabled as _obs_enabled
 from ..obs.metrics import label_scope as _label_scope
 from ..obs.spans import Span as _ObsSpan
-from ..obs.spans import new_id as _new_id
-from ..obs.spans import record_tree as _record_tree
+from ..obs.spans import current_span as _current_span
 from ..obs.spans import recent_spans as _recent_spans
 from ..obs.spans import span as _obs_span
 from ..parallel.backend import Backend, get_backend, use_backend
@@ -67,33 +65,33 @@ from ..spatial.emst import EMSTResult, KNNArtifact, emst, knn_graph
 from ..structures.dendrogram import Dendrogram
 from ..structures.edgelist import as_edge_arrays
 from .cache import ArtifactCache, content_key
+from .faults import DeadlineExceeded, active_deadline
 from .plan import Plan
-from .procpool import PoisonedJobError, RejectedError, ShardPool
+from .procpool import ShardPool
 from .resilience import (
     BreakerBoard,
     HealthCounters,
-    JobResult,
     ServePolicy,
-    run_job,
+    run_batch,
     serving_override,
 )
 
 __all__ = ["Engine", "DendrogramHandle"]
 
-# Observability mirrors (see docs/observability.md).  The request-latency
-# histogram is shared with ``resilience.run_job`` (get-or-create by name);
-# the engine observes it for process-executor jobs, whose latency is
-# accounted pool-side.
+# Observability mirror (see docs/observability.md).
 _M_CALLS = _REGISTRY.counter(
     "repro_engine_calls_total",
     "Engine API entry calls by method (serving-path jobs included).",
     ("method",),
 )
-_M_REQUEST = _REGISTRY.histogram(
-    "repro_request_seconds",
-    "End-to-end serving-request latency (retries and fallbacks included).",
-    ("executor", "status"),
-)
+
+
+def _check_executor(executor: str) -> str:
+    if executor not in ("thread", "process"):
+        raise ValueError(
+            f"executor must be 'thread' or 'process', got {executor!r}"
+        )
+    return executor
 
 
 @dataclass(frozen=True)
@@ -196,10 +194,7 @@ class Engine:
         shards: int | None = None,
         pool_options: dict[str, Any] | None = None,
     ) -> None:
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
+        self._executor = _check_executor(executor)
         self._backend = backend
         self.cache = ArtifactCache(max_entries=cache_entries)
         # Resilience state (persists across batches): circuit breakers per
@@ -208,7 +203,6 @@ class Engine:
         self._health = HealthCounters()
         # Process fault domain (lazy: no worker is spawned until the
         # first process-executor batch).
-        self._executor = executor
         self._shards = shards
         self._pool_options = dict(pool_options or {})
         self._pool: ShardPool | None = None
@@ -480,29 +474,33 @@ class Engine:
         :meth:`default_workers` to the engine's (or context's) active
         backend.
 
-        With ``policy=None`` (the default) the first job exception
-        propagates -- after cancelling every still-pending job, so the
-        pool never silently runs the rest of the batch and drops their
-        exceptions.  With a :class:`~repro.engine.resilience.ServePolicy`,
-        every item instead yields a
-        :class:`~repro.engine.resilience.JobResult` envelope and the batch
-        survives bad jobs: transient failures retry with backoff, tripped
-        backends degrade down the fallback chain, deadlines cancel or time
-        out jobs, and every outcome lands in :meth:`health`.
+        With ``policy=None`` (the default) the batch is raise-first: no
+        retries, no fallback, and the first job exception propagates --
+        after cancelling every job not yet started, so the pool never
+        silently runs the rest of the batch and drops their exceptions.
+        With a :class:`~repro.engine.resilience.ServePolicy`, every item
+        instead yields a :class:`~repro.engine.resilience.JobResult`
+        envelope and the batch survives bad jobs: transient failures retry
+        with backoff, tripped backends degrade down the fallback chain,
+        deadlines cancel or time out jobs.  Either way every outcome lands
+        in :meth:`health`.
 
         ``executor="process"`` (or constructing the engine with it) runs
-        the batch on the supervised :class:`~repro.engine.procpool.
-        ShardPool` instead: jobs are crash-isolated in worker processes,
-        dead and hung workers are respawned and their jobs re-dispatched,
-        a job that keeps killing workers is quarantined
+        each job on the supervised :class:`~repro.engine.procpool.
+        ShardPool` instead, one job thread per shard (``max_workers`` does
+        not apply): jobs are crash-isolated in worker processes, dead and
+        hung workers are respawned and their jobs re-dispatched, a job
+        that keeps killing workers is quarantined
         (:class:`~repro.engine.procpool.PoisonedJobError`), and admission
         control sheds load (:class:`~repro.engine.procpool.
-        RejectedError`).  ``fn`` must then be picklable (module-level);
-        :meth:`fit_many` / :meth:`hdbscan_many` ship picklable job
-        descriptors instead and have no such restriction.  If the pool is
-        (or goes) unhealthy, affected jobs transparently degrade to the
-        thread path -- legal because backends and processes are
-        bit-identical on every input.
+        RejectedError`).  The policy semantics are the same as on the
+        thread executor; a fallback to a backend other than the pool's
+        runs in-process.
+        ``fn`` must then be picklable (module-level); :meth:`fit_many` /
+        :meth:`hdbscan_many` ship picklable job descriptors instead and
+        have no such restriction.  If the pool is (or goes) unhealthy,
+        affected jobs run in-process -- legal because backends and
+        processes are bit-identical on every input.
         """
         _M_CALLS.inc(method="map")
         items = list(items)
@@ -518,103 +516,44 @@ class Engine:
         policy: ServePolicy | None,
         executor: str | None,
     ) -> list[Any]:
-        """Route one serving batch to the configured executor.
+        """Build one batch's job bodies for its executor and run them
+        through :func:`~repro.engine.resilience.run_batch`.
 
         ``jobs`` holds picklable ``(kind, payload)`` descriptors for the
-        process path; ``local_fn(item)`` is the equivalent in-process
-        body, used by the thread path and by per-job degradation.
+        shard pool; ``local_fn(item)`` is the equivalent in-process body.
         """
-        if executor is None:
-            executor = self._executor
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
+        executor = _check_executor(
+            self._executor if executor is None else executor
+        )
         if not items:
             return []
-        if executor == "process":
-            pool = self._ensure_pool()
-            if pool is not None and pool.healthy:
-                return self._map_process(pool, jobs, items, local_fn, policy)
-            # Pool unavailable or unhealthy: the whole batch degrades to
-            # the in-process thread path (bit-identical by contract).
-            self._pool_degraded += len(items)
-        return self._map_thread(local_fn, items, max_workers, policy)
-
-    def _map_thread(
-        self,
-        fn: Callable[..., Any],
-        items: list[Any],
-        max_workers: int | None,
-        policy: ServePolicy | None,
-    ) -> list[Any]:
         with self._scope() as backend:
+            backend_name = backend.name
             if max_workers is None:
                 max_workers = self.default_workers(backend)
-            backend_name = backend.name
-        if policy is None:
-            with _label_scope(executor="thread", backend=backend_name), \
-                    ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(
-                        contextvars.copy_context().run, self._shielded, fn, item
-                    )
-                    for item in items
-                ]
-                try:
-                    return [f.result() for f in futures]
-                except BaseException:
-                    for f in futures:
-                        f.cancel()
-                    raise
-
-        batch_deadline = (
-            None if policy.batch_deadline_s is None
-            else time.perf_counter() + policy.batch_deadline_s
-        )
-        with _label_scope(executor="thread", backend=backend_name), \
-                ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(
-                    contextvars.copy_context().run,
-                    run_job,
-                    functools.partial(self._shielded, fn, item),
-                    i,
-                    policy,
-                    self.breakers,
-                    self._health,
-                    backend_name,
-                    batch_deadline,
-                    time.perf_counter(),
-                )
-                for i, item in enumerate(items)
+        calls = [functools.partial(self._shielded, local_fn, item)
+                 for item in items]
+        pool = self._ensure_pool(backend_name) if executor == "process" else None
+        if pool is not None and pool.healthy:
+            stats = pool.stats()
+            backend_name = stats["backend"] or backend_name
+            # A process job blocks on its ticket: one job thread per shard
+            # keeps the jobs not yet started equal to those not dispatched.
+            max_workers = stats["shards"]
+            submitted = [threading.Event() for _ in items]
+            calls = [
+                functools.partial(self._process_job, pool, backend_name,
+                                  kind, payload, call, submitted, i)
+                for i, ((kind, payload), call) in enumerate(zip(jobs, calls))
             ]
-            results: list[JobResult] = []
-            expired = False
-            for i, f in enumerate(futures):
-                if batch_deadline is not None and not expired:
-                    remaining = batch_deadline - time.perf_counter()
-                    try:
-                        results.append(f.result(timeout=max(0.0, remaining)))
-                        continue
-                    except FuturesTimeout:
-                        # Batch deadline: sweep-cancel everything not yet
-                        # running, back to front (the pool consumes in
-                        # submission order, so the tail is least started).
-                        expired = True
-                        for g in reversed(futures[i:]):
-                            g.cancel()
-                if f.cancelled():
-                    self._health.record(backend_name, "cancelled")
-                    results.append(JobResult(
-                        index=i, status="cancelled",
-                        error_kind="timeout", backend=None,
-                    ))
-                else:
-                    # Already running: it times out cooperatively via the
-                    # in-job deadline, so this wait is short.
-                    results.append(f.result())
-            return results
+        elif executor == "process":
+            # Pool unavailable or unhealthy: the batch runs in-process
+            # (bit-identical by contract).
+            self._count_degraded(len(items))
+            executor = "thread"
+        with _label_scope(executor=executor, backend=backend_name):
+            return run_batch(calls, policy, self.breakers, self._health,
+                             backend_name, max_workers)
 
     @staticmethod
     def _shielded(fn: Callable[..., Any], item: Any) -> Any:
@@ -622,12 +561,11 @@ class Engine:
             return fn(item)
 
     # -- process executor --------------------------------------------------
-    def _ensure_pool(self) -> ShardPool | None:
-        """The lazily created shard pool (``None`` if spawning failed)."""
+    def _ensure_pool(self, backend_name: str) -> ShardPool | None:
+        """The lazily created shard pool (``None`` if spawning failed);
+        its workers default to ``backend_name``."""
         with self._pool_lock:
             if self._pool is None:
-                with self._scope() as backend:
-                    backend_name = backend.name
                 options = dict(self._pool_options)
                 options.setdefault("backend", backend_name)
                 try:
@@ -636,174 +574,74 @@ class Engine:
                     return None
             return self._pool
 
-    def _degrade_job(
-        self,
-        local_fn: Callable[..., Any],
-        item: Any,
-        index: int,
-        policy: ServePolicy | None,
-        backend_name: str,
-        batch_deadline: float | None,
-    ) -> Any:
-        """Run one lost job on the thread path (pool died under it)."""
-        self._pool_degraded += 1
-        with _label_scope(executor="thread", backend=backend_name):
-            if policy is None:
-                return contextvars.copy_context().run(
-                    self._shielded, local_fn, item
-                )
-            return contextvars.copy_context().run(
-                run_job,
-                functools.partial(self._shielded, local_fn, item),
-                index, policy, self.breakers, self._health,
-                backend_name, batch_deadline,
-            )
+    def _count_degraded(self, n: int) -> None:
+        with self._pool_lock:
+            self._pool_degraded += n
 
-    def _map_process(
+    def _process_job(
         self,
         pool: ShardPool,
-        jobs: list[tuple[str, Any]],
-        items: list[Any],
-        local_fn: Callable[..., Any],
-        policy: ServePolicy | None,
-    ) -> list[Any]:
-        """Serve one batch on the shard pool (see :meth:`map`).
+        pool_backend: str,
+        kind: str,
+        payload: Any,
+        local_call: Callable[[], Any],
+        submitted: list[threading.Event],
+        index: int,
+    ) -> Any:
+        """The body of one process-executor job: ship one ticket to a
+        shard and wait for it.
 
-        Submission-order semantics match the thread path: without a
-        policy the first failure raises after cancelling every
-        not-yet-dispatched ticket; with a policy every item yields a
-        :class:`~repro.engine.resilience.JobResult` and lands in
-        :meth:`health` exactly once.
+        The ticket carries the remaining cooperative deadline and the
+        request span's ids; the worker's ``shard:<kind>`` subtree and the
+        pool queue wait come back under the ``request`` span.  A ticket
+        that ends ``timeout`` or ``cancelled`` raises
+        :class:`~repro.engine.faults.DeadlineExceeded`.  ``local_call``
+        runs in-process instead when the ticket comes back ``lost`` (the
+        pool died under it) or when a fallback attempt targets a backend
+        other than the pool's -- both legal by bit-identity.
         """
-        with self._scope() as backend:
-            backend_name = backend.name
-        batch_deadline = None
-        if policy is not None and policy.batch_deadline_s is not None:
-            batch_deadline = time.perf_counter() + policy.batch_deadline_s
-        retry_budget = 0 if policy is None else policy.max_retries
-
-        tickets: list[Any] = []
-        traces: list[tuple[str, str] | None] = []
-        for kind, payload in jobs:
-            deadline_s = None if policy is None else policy.job_deadline_s
-            if batch_deadline is not None:
-                remaining = max(0.001, batch_deadline - time.perf_counter())
-                deadline_s = (
-                    remaining if deadline_s is None
-                    else min(deadline_s, remaining)
-                )
-            # The request's trace/span ids are minted at submit time and
-            # ride the job envelope, so the worker-side span subtree comes
-            # back stitchable under this request (see ``repro.obs``).
-            trace = (_new_id(), _new_id()) if _obs_enabled() else None
-            traces.append(trace)
-            try:
-                tickets.append(pool.submit(
+        sp = _current_span()
+        if index:
+            # Tickets enter the pool in batch order, so pool job ids (which
+            # ``WorkerFaults.poison_job_ids`` keys on) follow it.  The jobs
+            # ahead of this one have started: ``run_batch`` never cancels a
+            # job ahead of a started one.
+            submitted[index - 1].wait()
+        ticket = None
+        try:
+            if serving_override() == pool_backend:
+                deadline = active_deadline()
+                ticket = pool.submit(
                     kind, payload,
-                    deadline_s=deadline_s, retry_budget=retry_budget,
-                    trace=trace,
-                ))
-            except (RejectedError, PoisonedJobError) as exc:
-                tickets.append(exc)
-
-        results: list[Any] = []
-        raised: BaseException | None = None
-        for i, ticket in enumerate(tickets):
-            if isinstance(ticket, BaseException):
-                # Shed or quarantined at the front door.
-                if policy is None:
-                    raised = raised or ticket
-                    results.append(None)
-                else:
-                    self._health.record(backend_name, "failed")
-                    results.append(JobResult(
-                        index=i, status="failed", error=ticket,
-                        error_kind="permanent", backend=backend_name,
-                    ))
-                continue
-            if raised is not None:
-                # Raise-first semantics: stop consuming, cancel the rest.
-                pool.cancel(ticket)
-                continue
-            job = pool.result(ticket)
-            if job.status == "lost":
-                # The degraded re-run records its own thread-path request
-                # span; no process-side span is stitched for lost jobs.
-                results.append(self._degrade_job(
-                    local_fn, items[i], i, policy, backend_name,
-                    batch_deadline,
-                ))
-                continue
-            self._stitch_process_span(traces[i], job, backend_name)
-            if policy is None:
-                if job.status == "ok":
-                    results.append(job.value)
-                else:
-                    error = job.error or TimeoutError(
-                        f"job {i} was {job.status}"
-                    )
-                    raised = error
-                    results.append(None)
-                continue
-            self._health.record(backend_name, job.status)
-            if job.retries:
-                self._health.record(backend_name, "retries", job.retries)
-            results.append(JobResult(
-                index=i, status=job.status, value=job.value,
-                error=job.error, error_kind=job.error_kind,
-                attempts=job.attempts, retries=job.retries,
-                latency_s=job.latency_s,
-                backend=None if job.status == "cancelled" else backend_name,
+                    deadline_s=None if deadline is None
+                    else max(0.001, deadline - time.perf_counter()),
+                    trace=None if sp is None else (sp.trace_id, sp.span_id),
+                )
+        finally:
+            submitted[index].set()
+        if ticket is None:
+            return local_call()
+        job = pool.result(ticket)
+        if job.status == "lost":
+            self._count_degraded(1)
+            return local_call()
+        if sp is not None:
+            sp.annotate(kind=kind)
+            if job.worker is not None:
+                sp.annotate(worker=job.worker)
+            sp.add_child(_ObsSpan(
+                "pool_queue", start_unix=job.created_unix,
+                duration_s=job.queue_wait_s,
             ))
-        if raised is not None:
-            raise raised
-        return results
-
-    @staticmethod
-    def _stitch_process_span(
-        trace: tuple[str, str] | None, job: Any, backend_name: str
-    ) -> None:
-        """Assemble and record one process-executor request span tree.
-
-        The parent side owns the request root (ids minted at submit
-        time): a synthesized ``queue`` child carries the accumulated
-        queue wait, the worker's shipped subtree (if any) slots under the
-        root via the envelope ids, and dispatch retries / worker kills
-        become span events.  Also lands the end-to-end latency in
-        ``repro_request_seconds{executor="process"}``.
-        """
-        if trace is None or not _obs_enabled():
-            return
-        status = job.status or "?"
-        trace_id, span_id = trace
-        root = _ObsSpan(
-            "request", trace_id=trace_id, span_id=span_id,
-            labels={
-                "executor": "process", "backend": backend_name,
-                "kind": job.kind, "status": status,
-                "attempts": job.attempts, "retries": job.retries,
-            },
-            start_unix=job.created_unix, duration_s=job.latency_s,
-        )
-        root.status = status if status != "ok" else "ok"
-        queue = _ObsSpan(
-            "queue", start_unix=job.created_unix,
-            duration_s=job.queue_wait_s,
-        )
-        root.add_child(queue)
-        if job.remote_span is not None:
-            try:
-                root.add_child(_ObsSpan.from_dict(job.remote_span))
-            except Exception:
-                pass  # malformed remote span must never fail a result
-        if job.retries:
-            root.event("shard_retries", count=job.retries)
-        if job.kills:
-            root.event("worker_kills", count=job.kills)
-        if job.worker is not None:
-            root.annotate(worker=job.worker)
-        _M_REQUEST.observe(job.latency_s, executor="process", status=status)
-        _record_tree(root)
+            if job.remote_span is not None:
+                sp.add_child(_ObsSpan.from_dict(job.remote_span))
+            if job.kills:
+                sp.event("worker_kills", count=job.kills)
+        if job.ok:
+            return job.value
+        if job.status == "failed":
+            raise job.error
+        raise DeadlineExceeded("shard")
 
     def drain(self, timeout: float | None = None) -> bool:
         """Gracefully drain the process pool (if one was ever created):
@@ -901,19 +739,21 @@ class Engine:
         Counter keys are ``ok / failed / timeout / cancelled / retries /
         fallbacks / breaker_trips``; breakers are keyed ``backend/site``.
         The pool fields are zero (and ``pool`` is ``None``) until a
-        process-executor batch first runs; ``degraded`` counts jobs this
-        engine routed to the thread path because the pool was unhealthy.
+        process-executor batch first runs; ``degraded`` counts
+        process-executor jobs this engine ran in-process because the pool
+        was unavailable or unhealthy.
         """
         snap = self._health.snapshot()
         snap["breakers"] = self.breakers.snapshot()
         with self._pool_lock:
             pool = self._pool
+            degraded = self._pool_degraded
         stats = pool.stats() if pool is not None else None
         snap["queue_depth"] = stats["queue_depth"] if stats else 0
         snap["workers_alive"] = stats["workers_alive"] if stats else 0
         snap["respawns"] = stats["respawns"] if stats else 0
         snap["shed"] = stats["shed"] if stats else 0
-        snap["degraded"] = self._pool_degraded
+        snap["degraded"] = degraded
         snap["pool"] = stats
         return snap
 

@@ -38,17 +38,16 @@ pipe alone and cannot block any other worker's sends:
   rejecting new submissions, then joins every worker.
 
 When the respawn budget is exhausted and the last worker dies, the pool
-marks itself unhealthy and fails outstanding jobs as *lost* (transient);
-the :class:`~repro.engine.engine.Engine` reacts by degrading those jobs
--- and subsequent batches -- to the in-process thread path, which is
-legal because backends and processes are bit-identical on every input
-(the cross-backend contract).
+marks itself unhealthy and fails outstanding jobs -- and every later
+submission -- as *lost* (transient); the
+:class:`~repro.engine.engine.Engine` reacts by running those jobs
+in-process, which is legal because backends and processes are
+bit-identical on every input (the cross-backend contract).
 
-Retries of transient in-child failures reuse the job ticket (same job
-id, bounded by the ticket's ``retry_budget``); unlike the thread path
-they are immediate rather than backed off -- the shard that failed is
-busy bootstrapping its successor, so there is no thundering herd to
-decorrelate.
+An error raised inside a job finishes its ticket: retrying it is the
+caller's policy (:func:`repro.engine.resilience.run_job`).  The pool
+re-dispatches only jobs whose worker died, because a worker death is a
+different fault from a job error.
 """
 
 from __future__ import annotations
@@ -118,12 +117,6 @@ _M_HB_AGE = _REGISTRY.gauge(
 _M_UNHEALTHY = _REGISTRY.gauge(
     "repro_pool_unhealthy", "1 while the shard pool cannot make progress."
 )
-_M_QUEUE_WAIT = _REGISTRY.histogram(
-    "repro_queue_wait_seconds",
-    "Time a serving job waited between submission and execution start.",
-    ("executor",),
-)
-_OBS_QUEUE_WAIT_PROCESS = _M_QUEUE_WAIT.labels(executor="process")
 
 
 class RejectedError(RuntimeError):
@@ -189,38 +182,33 @@ class ShardJob:
 
     ``status`` is ``None`` while queued or in flight, then one of
     ``"ok" | "failed" | "timeout" | "cancelled" | "lost"`` (``lost`` =
-    the pool died under it; the engine degrades lost jobs to the thread
-    path).  Wait on it with :meth:`ShardPool.result`.
+    the pool died under it, or was already dead at submission; the
+    engine runs lost jobs in-process).  Wait on it with
+    :meth:`ShardPool.result`.
     """
 
     __slots__ = (
-        "id", "kind", "payload", "fingerprint", "deadline_at",
-        "retry_budget", "created_at", "attempts", "retries", "kills",
-        "status", "value", "error", "error_kind", "worker", "latency_s",
+        "id", "kind", "payload", "deadline_at", "created_at", "attempts",
+        "kills", "status", "value", "error", "error_kind", "worker",
         "event", "trace", "enqueued_at", "queue_wait_s", "remote_span",
         "created_unix",
     )
 
     def __init__(self, job_id: int, kind: str, payload: Any,
-                 fingerprint: tuple | None, deadline_at: float | None,
-                 retry_budget: int, created_at: float,
+                 deadline_at: float | None, created_at: float,
                  trace: tuple[str, str] | None = None) -> None:
         self.id = job_id
         self.kind = kind
         self.payload = payload
-        self.fingerprint = fingerprint
         self.deadline_at = deadline_at
-        self.retry_budget = retry_budget
         self.created_at = created_at
         self.attempts = 0
-        self.retries = 0
         self.kills = 0
         self.status: str | None = None
         self.value: Any = None
         self.error: BaseException | None = None
         self.error_kind: str | None = None
         self.worker: int | None = None
-        self.latency_s = 0.0
         self.event = threading.Event()
         # Observability: the request's (trace_id, parent_span_id) pair
         # shipped inside the job envelope, accumulated queue wait across
@@ -267,6 +255,15 @@ def _freeze(obj: Any) -> Any:
             f"{getattr(obj, '__qualname__', repr(obj))}"
         )
     return obj
+
+
+def _fingerprint(kind: str, payload: Any) -> tuple | None:
+    """Content key of a job for quarantine (``None``: unhashable content,
+    not quarantinable)."""
+    try:
+        return content_key("shard-job", kind, _freeze(payload))
+    except TypeError:
+        return None
 
 
 def _reap(procs: list) -> None:
@@ -392,7 +389,6 @@ class ShardPool:
         self._hangs = 0
         self._injected_kills = 0
         self._quarantined = 0
-        self._retries = 0
 
         self._all_procs: list = []
         self._all_job_qs: list = []
@@ -414,7 +410,6 @@ class ShardPool:
         payload: Any,
         *,
         deadline_s: float | None = None,
-        retry_budget: int = 0,
         trace: tuple[str, str] | None = None,
     ) -> ShardJob:
         """Enqueue one job; returns its ticket (wait via :meth:`result`).
@@ -424,14 +419,16 @@ class ShardPool:
         subtree stitches under the caller's request span (see
         ``repro.obs``).  Raises :class:`RejectedError` when the pool is
         closing, draining, or at ``max_pending``; :class:`PoisonedJobError`
-        when the job's content fingerprint is quarantined.
+        when the job's content fingerprint is quarantined.  An unhealthy
+        pool returns the ticket already ``lost``: no worker would ever
+        take it.
         """
         if kind not in JOB_KINDS:
             raise ValueError(f"unknown job kind {kind!r}")
-        try:
-            fingerprint = content_key("shard-job", kind, _freeze(payload))
-        except TypeError:
-            fingerprint = None  # unhashable content: not quarantinable
+        # Hashing a large payload takes milliseconds on the dispatch path,
+        # so it is paid only while something is quarantined; a poisoned
+        # job is fingerprinted when it is quarantined.
+        fingerprint = _fingerprint(kind, payload) if self._quarantine else None
         now = time.monotonic()
         with self._cond:
             if self._closed or self._draining:
@@ -452,15 +449,19 @@ class ShardPool:
                 )
             job = ShardJob(
                 self._next_job_id, kind, payload,
-                fingerprint,
                 None if deadline_s is None else now + deadline_s,
-                retry_budget, now, trace,
+                now, trace,
             )
             self._next_job_id += 1
-            self._jobs[job.id] = job
-            self._pending.append(job)
             self._submitted += 1
             _M_POOL_EVENTS.inc(event="submitted")
+            if self._unhealthy:
+                self._finish(job, "lost", error=WorkerCrashError(
+                    "shard pool has no workers (respawn budget exhausted)",
+                ), error_kind="transient")
+                return job
+            self._jobs[job.id] = job
+            self._pending.append(job)
         self._kick()
         return job
 
@@ -534,7 +535,7 @@ class ShardPool:
     @property
     def healthy(self) -> bool:
         """Whether the pool can currently make progress (the engine
-        degrades to the thread path when this is ``False``)."""
+        runs jobs in-process when this is ``False``)."""
         with self._cond:
             return not self._unhealthy and not self._closed
 
@@ -558,7 +559,6 @@ class ShardPool:
                 "hangs": self._hangs,
                 "injected_kills": self._injected_kills,
                 "quarantined": self._quarantined,
-                "retries": self._retries,
                 "unhealthy": self._unhealthy,
                 "closed": self._closed,
                 "backend": self._backend_name,
@@ -657,15 +657,6 @@ class ShardPool:
             job = self._jobs.get(job_id)
             if job is None or job.status is not None:
                 return
-            if (kind == "transient" and job.retries < job.retry_budget
-                    and not self._closed):
-                job.retries += 1
-                self._retries += 1
-                _M_POOL_EVENTS.inc(event="retry")
-                job.kills = 0  # the worker survived: kills are not consecutive
-                job.enqueued_at = now
-                self._pending.appendleft(job)
-                return
             error = self._decode_error(enc, kind)
             self._finish(
                 job, "timeout" if kind == "timeout" else "failed",
@@ -753,8 +744,9 @@ class ShardPool:
             else:
                 job.kills += 1
                 if job.kills >= self._poison_threshold:
-                    if job.fingerprint is not None:
-                        self._quarantine.add(job.fingerprint)
+                    fingerprint = _fingerprint(job.kind, job.payload)
+                    if fingerprint is not None:
+                        self._quarantine.add(fingerprint)
                     self._quarantined += 1
                     _M_POOL_EVENTS.inc(event="quarantined")
                     self._finish(job, "failed", error=PoisonedJobError(
@@ -778,7 +770,7 @@ class ShardPool:
             self._spawn(now)
         elif not self._workers:
             # Budget exhausted and nobody left: fail everything as lost
-            # (transient) so the engine can degrade it to the thread path.
+            # (transient) so the engine can run it in-process.
             self._unhealthy = True
             for j in list(self._jobs.values()):
                 if j.status is None:
@@ -827,9 +819,7 @@ class ShardPool:
                 job.attempts -= 1
                 self._pending.appendleft(job)
             else:
-                wait = max(0.0, now - job.enqueued_at)
-                job.queue_wait_s += wait
-                _OBS_QUEUE_WAIT_PROCESS.observe(wait)
+                job.queue_wait_s += max(0.0, now - job.enqueued_at)
 
     def _publish_gauges(self, now: float) -> None:
         """Refresh the pool gauges (one supervisor tick's snapshot)."""
@@ -883,7 +873,6 @@ class ShardPool:
         job.value = value
         job.error = error
         job.error_kind = error_kind
-        job.latency_s = time.monotonic() - job.created_at
         self._jobs.pop(job.id, None)
         self._completed += 1
         _M_POOL_EVENTS.inc(event="completed")

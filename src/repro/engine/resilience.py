@@ -2,8 +2,8 @@
 
 The serving tier's job (ROADMAP north star: survive heavy traffic) is to
 keep a batch alive when individual jobs misbehave.  This module supplies
-the policy layer that :meth:`Engine.map` / :meth:`Engine.fit_many` run
-under when given a :class:`ServePolicy`:
+the job lifecycle that :meth:`Engine.map` / :meth:`Engine.fit_many` run
+every job under, on either executor, given a :class:`ServePolicy`:
 
 * **Classified errors** -- :func:`classify` buckets every failure as
   ``transient`` (a retry may absorb it: injected transient faults,
@@ -50,15 +50,20 @@ under when given a :class:`ServePolicy`:
   ``Engine.health()`` and the ``serve`` CLI subcommand.
 
 Results come back as per-job :class:`JobResult` envelopes in submission
-order -- the batch never dies on the first bad job.  The no-policy engine
-paths keep their raise-first semantics untouched.
+order -- the batch never dies on the first bad job.  :func:`run_job` is
+the only place either engine executor runs a job: a batch without a
+policy runs under a no-retry, no-fallback policy and re-raises its first
+failure (raise-first).
 """
 
 from __future__ import annotations
 
+import contextvars
 import random
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -80,6 +85,7 @@ __all__ = [
     "serving_override",
     "serving_backend",
     "run_job",
+    "run_batch",
 ]
 
 #: Health-counter keys, in reporting order.
@@ -408,7 +414,8 @@ def run_job(
     lands in the ``repro_request_seconds`` histogram.
     """
     executor = _obs_labels().get("executor", "thread")
-    with _obs_span("request", job=index, backend=backend_name) as sp:
+    with _obs_span("request", job=index, backend=backend_name,
+                   executor=executor) as sp:
         if submitted_at is not None:
             queue_wait = max(0.0, time.perf_counter() - submitted_at)
             _M_QUEUE_WAIT.observe(queue_wait, executor=executor)
@@ -535,3 +542,84 @@ def _run_job_attempts(
         attempts=attempts, retries=retries, fallbacks=fallbacks,
         latency_s=time.perf_counter() - t0, backend=last_backend,
     )
+
+
+#: The policy of a batch served without one: raise-first.
+_RAISE_FIRST = ServePolicy(max_retries=0, fallback=False)
+
+
+def run_batch(
+    calls: list[Callable[[], Any]],
+    policy: ServePolicy | None,
+    board: BreakerBoard,
+    health: HealthCounters,
+    backend_name: str,
+    max_workers: int,
+) -> list[Any]:
+    """Run one serving batch on a thread pool, every job through
+    :func:`run_job` in a snapshot of the caller's context.
+
+    With a ``policy`` the result is one :class:`JobResult` per call, in
+    submission order; when the batch deadline expires, the jobs not yet
+    started are cancelled.  Without one the batch is raise-first: it runs
+    under a no-retry, no-fallback policy, the first non-ok envelope in
+    submission order cancels every job not yet started and its error is
+    re-raised, and otherwise the values come back.  Cancelled jobs count
+    in ``health`` like every other outcome.
+    """
+    serve = _RAISE_FIRST if policy is None else policy
+    batch_deadline = (
+        None if serve.batch_deadline_s is None
+        else time.perf_counter() + serve.batch_deadline_s
+    )
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = [
+            pool.submit(
+                contextvars.copy_context().run, run_job, call, i, serve,
+                board, health, backend_name, batch_deadline,
+                time.perf_counter(),
+            )
+            for i, call in enumerate(calls)
+        ]
+        for i, f in enumerate(futures):
+            try:
+                result = f.result(
+                    None if batch_deadline is None
+                    else max(0.0, batch_deadline - time.perf_counter())
+                )
+            except FuturesTimeout:
+                # Jobs already running time out cooperatively through
+                # their in-job deadline.
+                _cancel_unstarted(futures[i:])
+                break
+            except BaseException:
+                _cancel_unstarted(futures)
+                raise
+            if policy is None and not result.ok:
+                _cancel_unstarted(futures[i + 1:])
+                break
+    # Leaving the pool waited for every started job.
+    results: list[JobResult] = []
+    for i, f in enumerate(futures):
+        if f.cancelled():
+            health.record(backend_name, "cancelled")
+            results.append(JobResult(
+                index=i, status="cancelled", error_kind="timeout",
+            ))
+        else:
+            results.append(f.result())
+    if policy is None:
+        return [r.unwrap() for r in results]
+    return results
+
+
+def _cancel_unstarted(futures: list[Future]) -> None:
+    """Cancel the jobs no pool thread has taken yet.
+
+    The pool hands out jobs in submission order, so walk back to front
+    and stop at the first job already taken: no job is then cancelled
+    ahead of a started one.
+    """
+    for f in reversed(futures):
+        if not f.cancel():
+            break

@@ -11,6 +11,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -26,7 +28,8 @@ from repro.engine.procpool import (
     WorkerCrashError,
 )
 from repro.engine.resilience import ServePolicy, classify
-from repro.parallel import use_backend
+from repro.obs.spans import clear_spans, recent_spans
+from repro.parallel import get_backend, use_backend
 
 from repro.structures.tree import random_spanning_tree
 
@@ -150,27 +153,6 @@ class TestShardPoolBasics:
         finally:
             pool.shutdown()
 
-    def test_transient_child_error_retries_on_ticket_budget(self):
-        # MemoryError classifies transient; with a retry budget the pool
-        # re-dispatches, without one it fails through.
-        pool = ShardPool(1, backend="numpy", **FAST)
-        try:
-            job = pool.result(
-                pool.submit("call", (_raise_memory_once_key, "a"),
-                            retry_budget=0),
-                timeout=60.0,
-            )
-            assert job.status == "failed" and job.error_kind == "transient"
-            job = pool.result(
-                pool.submit("call", (_raise_memory_once_key, "b"),
-                            retry_budget=2),
-                timeout=60.0,
-            )
-            assert job.ok and job.retries == 1
-        finally:
-            pool.shutdown()
-        assert pool.stats()["retries"] == 1
-
     def test_shed_when_admission_queue_full(self):
         pool = ShardPool(1, backend="numpy", max_pending=1, **FAST)
         try:
@@ -184,9 +166,16 @@ class TestShardPoolBasics:
         assert pool.stats()["shed"] == 1
 
 
+def _numpy_only(x):
+    """Transient failure everywhere but on the numpy backend."""
+    if get_backend().name != "numpy":
+        raise MemoryError("synthetic pressure off numpy")
+    return x
+
+
 def _raise_memory_once_key(key):
     """Raises MemoryError on the first call per worker process, then
-    succeeds -- a transient failure a re-dispatch absorbs."""
+    succeeds -- a transient failure a retry absorbs."""
     seen = _raise_memory_once_key.__dict__.setdefault("seen", set())
     if key not in seen:
         seen.add(key)
@@ -514,6 +503,47 @@ class TestEngineProcessExecutor:
         finally:
             eng.shutdown()
 
+    def test_transient_child_error_retries_under_policy(self):
+        # MemoryError classifies transient: run_job retries it with a
+        # fresh ticket, exactly as it retries a thread-path job.
+        clear_spans()
+        eng = Engine(executor="process", shards=1,
+                     pool_options=dict(backend="numpy", **FAST))
+        try:
+            (res,) = eng.map(
+                _raise_memory_once_key, ["a"],
+                policy=ServePolicy(max_retries=2, backoff_base_s=0),
+            )
+            assert res.ok and res.value == "a"
+            assert res.retries == 1 and res.attempts == 2
+            (request,) = [s for s in recent_spans() if s.name == "request"]
+            assert "retry" in [name for _t, name, _f in request.events]
+            assert eng.health()["total"]["retries"] == 1
+        finally:
+            eng.shutdown()
+
+    def test_fallback_runs_in_process_off_the_pool_backend(self):
+        # The pool is pinned to numba-python, where the job always fails
+        # transiently; the fallback attempt targets numpy, which only the
+        # in-process path can serve.
+        eng = Engine(executor="process", shards=1,
+                     pool_options=dict(backend="numba-python", **FAST))
+        try:
+            (res,) = eng.map(
+                _numpy_only, [7],
+                policy=ServePolicy(max_retries=1, backoff_base_s=0,
+                                   breaker_threshold=10),
+            )
+            assert res.ok and res.value == 7
+            assert res.backend == "numpy" and res.fallbacks == 1
+            assert res.attempts == 3 and res.retries == 1
+            health = eng.health()
+            assert health["backends"]["numba-python"]["retries"] == 1
+            assert health["backends"]["numpy"]["ok"] == 1
+            assert health["degraded"] == 0
+        finally:
+            eng.shutdown()
+
     def test_unhealthy_pool_degrades_to_thread_path(self, rng):
         probs = _problems(rng, n_jobs=3)
         baseline = Engine().fit_many(probs)
@@ -541,6 +571,35 @@ class TestEngineProcessExecutor:
             )
             assert eng.health()["degraded"] >= len(probs) + 1
         finally:
+            eng.shutdown()
+
+    def test_degraded_count_is_exact_under_concurrent_batches(self, rng):
+        probs = _problems(rng, n_jobs=2)
+        eng = Engine(
+            executor="process", shards=1,
+            pool_options=dict(
+                backend="numpy",
+                worker_faults=WorkerFaults(p_crash=1.0, seed=0),
+                respawn_budget=0, **FAST,
+            ),
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            eng.fit_many(probs)  # the only worker dies: the pool is unhealthy
+            assert eng.health()["pool"]["unhealthy"]
+            threads = [
+                threading.Thread(target=eng.fit_many, args=(probs,))
+                for _ in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert eng.health()["degraded"] == 9 * len(probs)
+        finally:
+            sys.setswitchinterval(interval)
             eng.shutdown()
 
     def test_health_shape_without_pool(self):

@@ -9,6 +9,7 @@ would.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -420,6 +421,12 @@ class TestMapNoPolicy:
         # Without cancellation all 50 run to completion; with it the pool
         # stops almost immediately (a started job may slip through).
         assert len(executed) <= 5
+        # Every submitted job is accounted exactly once.
+        total = eng.health()["total"]
+        assert total["failed"] == 1
+        assert total["ok"] == len(executed) - 1
+        assert total["timeout"] == 0
+        assert total["ok"] + total["failed"] + total["cancelled"] == 50
 
     def test_raise_first_semantics_unchanged(self, rng):
         eng = Engine()
@@ -428,17 +435,40 @@ class TestMapNoPolicy:
         assert all(h.parent is not None for h in handles)
 
 
+@contextmanager
+def _serving_engine(executor):
+    """A fresh engine on ``executor``; the process pool is torn down after."""
+    eng = Engine(executor=executor, shards=2,
+                 pool_options=dict(heartbeat_s=0.02))
+    try:
+        yield eng
+    finally:
+        eng.shutdown()
+
+
+def _totals(**counts):
+    return {key: counts.get(key, 0) for key in (
+        "ok", "failed", "timeout", "cancelled",
+        "retries", "fallbacks", "breaker_trips",
+    )}
+
+
 class TestServing:
-    def test_ok_envelopes_match_plain_run(self, rng):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_ok_envelopes_match_plain_run(self, rng, executor):
         probs = _problems(rng)
         baseline = Engine().fit_many(probs)
-        results = Engine().fit_many(probs, policy=ServePolicy())
+        with _serving_engine(executor) as eng:
+            results = eng.fit_many(probs, policy=ServePolicy())
+            health = eng.health()
         assert [r.status for r in results] == ["ok"] * len(probs)
         assert [r.index for r in results] == list(range(len(probs)))
         for b, r in zip(baseline, results):
             assert np.array_equal(b.parent, r.value.parent)
-            assert r.attempts == 1 and r.retries == 0
+            assert r.error is None and r.error_kind is None
+            assert r.attempts == 1 and r.retries == 0 and r.fallbacks == 0
             assert r.latency_s > 0
+        assert health["total"] == _totals(ok=len(probs))
 
     def test_acceptance_schedule(self, rng):
         """ISSUE acceptance: p=0.05 transient at kernel/sort/workspace,
@@ -461,22 +491,24 @@ class TestServing:
         assert health["total"]["retries"] == injected["raised_total"]
         assert health["total"]["failed"] == 0
 
-    def test_permanent_failure_isolated(self, rng):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_permanent_failure_isolated(self, rng, executor):
         probs = _problems(rng, 4)
         u, _v, w = probs[1]
         probs[1] = (u, u, w)  # self-loops: InvalidGraphError
-        eng = Engine()
-        results = eng.fit_many(probs, policy=ServePolicy())
+        with _serving_engine(executor) as eng:
+            results = eng.fit_many(probs, policy=ServePolicy())
+            health = eng.health()
         assert [r.status for r in results] == ["ok", "failed", "ok", "ok"]
         bad = results[1]
-        assert isinstance(bad.error, InvalidGraphError)
+        assert type(bad.error) is InvalidGraphError
         assert bad.error_kind == "permanent"
-        assert bad.attempts == 1 and bad.retries == 0  # never retried
+        # Never retried, never degraded.
+        assert bad.attempts == 1 and bad.retries == 0 and bad.fallbacks == 0
         with pytest.raises(InvalidGraphError):
             bad.unwrap()
-        health = eng.health()
-        assert health["total"]["failed"] == 1
-        assert health["total"]["breaker_trips"] == 0  # permanent never trips
+        # Permanent failures never trip a breaker.
+        assert health["total"] == _totals(ok=3, failed=1)
 
     def test_job_deadline_times_out(self, rng):
         probs = _problems(rng, 2)

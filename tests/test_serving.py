@@ -98,16 +98,17 @@ class TestDefaultWorkers:
 
     def test_map_applies_heuristic_to_engine_backend(self, monkeypatch):
         import repro.engine.engine as mod
+        import repro.engine.resilience as batch_mod
 
         seen = {}
-        real_pool = mod.ThreadPoolExecutor
+        real_pool = batch_mod.ThreadPoolExecutor
 
         class SpyPool(real_pool):
             def __init__(self, max_workers=None):
                 seen["workers"] = max_workers
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(mod, "ThreadPoolExecutor", SpyPool)
+        monkeypatch.setattr(batch_mod, "ThreadPoolExecutor", SpyPool)
         monkeypatch.setattr(mod.os, "cpu_count", lambda: 8)
         Engine().map(lambda x: x, range(3))
         assert seen["workers"] == 4  # numpy holds the GIL: small pool
