@@ -7,9 +7,10 @@ metric
 
 where ``core(p)`` is the distance from p to its ``mpts``-th nearest neighbor
 (p itself counted, so ``mpts = 1`` gives core 0 and plain Euclidean
-single linkage).  All kernels are block-vectorized; the squared-distance
-block uses the |a|^2 + |b|^2 - 2ab expansion so leaf-pair interactions in the
-tree traversals are single GEMM-shaped operations.
+single linkage).  All kernels are block-vectorized.  The squared-distance
+block is SciPy's ``cdist`` difference form, accumulated in coordinate
+order, not the |a|^2 + |b|^2 - 2ab expansion: the expansion leaks rounding
+noise into coincident points (see :func:`sq_dist_block`).
 """
 
 from __future__ import annotations

@@ -31,7 +31,12 @@ Round structure:
    run as one batched kernel
    (:func:`~repro.parallel.primitives.spatial_leaf_pairs`) against bounds
    frozen at the level start -- every pair is independent, which is what
-   makes the kernel embarrassingly parallel yet bit-deterministic.  The
+   makes the kernel embarrassingly parallel yet bit-deterministic.  Inside
+   the NumPy kernel a point whose squared distance to the opposite leaf's box
+   (lifted by its own core distance) already reaches its component's
+   frozen bound is skipped; the box distance is accumulated in the same
+   coordinate order as the point distances, and IEEE subtraction,
+   squaring and addition are monotone, so the skip is exact.  The
    improvements found by the batch tighten the bounds before the next level
    is filtered.
 4. **Contract** -- every component's best pair becomes an MST edge.  A
@@ -374,9 +379,9 @@ def _probe(
     an unbounded side becomes a candidate for that side and tightens its
     bound.  Every component owns at least one label boundary once two
     components exist, so none enters the traversal unbounded.  Squared
-    distances accumulate in coordinate order, as ``cdist`` and the fused
-    leaf kernels do, so a pair's weight is bit-identical whichever step
-    finds it.
+    distances accumulate in coordinate order, as the leaf kernels of every
+    backend do, so a pair's weight is bit-identical whichever step finds
+    it.
     """
     emit("emst.probe", "map", int(labels_perm.size) - 1)
     i = np.nonzero(

@@ -206,6 +206,17 @@ class KDTree:
             object.__setattr__(self, "_points_perm", cached)
         return cached
 
+    def padded_columns(self) -> list[np.ndarray]:
+        """Tree-order coordinate columns, one per dimension, each with one
+        trailing ``inf`` entry at position ``n``: gathering that position
+        pads a distance block with ``inf``.  Computed lazily and cached."""
+        cached = getattr(self, "_padded_columns", None)
+        if cached is None:
+            pp = self.points_perm
+            cached = [np.append(pp[:, c], np.inf) for c in range(pp.shape[1])]
+            object.__setattr__(self, "_padded_columns", cached)
+        return cached
+
     def leaves_by_start(self) -> np.ndarray:
         """Leaf node ids ordered by slice start; slices partition [0, n)."""
         cached = getattr(self, "_leaves_by_start", None)
